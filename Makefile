@@ -19,7 +19,8 @@
 # `make bench-json` records the fleet scheduler's
 # sequential-vs-parallel cost to BENCH_parallel.json. `make fuzz-smoke`
 # runs each native fuzz target briefly over its committed corpus — the
-# CI smoke of the journal codec and stats input contracts
+# CI smoke of the journal codec, stats input contracts and the run-count
+# planner's first-rejection answer
 # (docs/RESILIENCE.md).
 
 GO ?= go
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCI$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzANOVA$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzStream$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzMinRunsProjected$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzDecisionCodec$$' -fuzztime=$(FUZZTIME) ./internal/sampling
 
 check: vet lint test race

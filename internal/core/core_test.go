@@ -235,6 +235,16 @@ func TestPlanRuns(t *testing.T) {
 	}
 }
 
+// A one-run pilot has no standard deviation (NaN), so there is nothing
+// to project a hypothesis-test run count from.
+func TestPlanRunsOneRunPilot(t *testing.T) {
+	a := Space{Values: []float64{100}}
+	b := Space{Values: []float64{95}}
+	if p := PlanRuns(a, b, 0.01, 0.05); p.ByHypothesis != 0 {
+		t.Fatalf("one-run pilots planned %d runs by hypothesis, want 0", p.ByHypothesis)
+	}
+}
+
 func TestPrepareUnknownWorkload(t *testing.T) {
 	e := smallExperiment()
 	e.Workload = "nosuch"

@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"varsim/internal/report"
 )
 
 func quickH(buf *bytes.Buffer) *H {
@@ -72,8 +75,46 @@ func TestDivergenceStudy(t *testing.T) {
 func TestFig4(t *testing.T)  { runQuick(t, "fig4", "DRAM latency", "inversions") }
 func TestFig10(t *testing.T) { runQuick(t, "fig10", "sample size", "95% CI") }
 func TestFig11(t *testing.T) { runQuick(t, "fig11", "test statistic", "rejection region") }
+
+// TestTable5 checks the paper's Table-5 claim on the projected column:
+// the runs needed grow strictly as the significance level tightens. It
+// also pins the quick-seed projections, so any change to how
+// stats.MinRunsProjected finds them must reproduce them exactly.
 func TestTable5(t *testing.T) {
-	runQuick(t, "table5", "significance level", "runs needed")
+	var buf bytes.Buffer
+	collector := report.NewCollector()
+	h := New(Options{Out: &buf, Seed: 0xA1A3, Quick: true, Report: collector})
+	e, _ := Find("table5")
+	if err := h.RunOne(e); err != nil {
+		t.Fatalf("table5 failed: %v\noutput so far:\n%s", err, buf.String())
+	}
+	tables := collector.Tables()
+	if len(tables) != 1 {
+		t.Fatalf("table5 printed %d tables, want 1", len(tables))
+	}
+	tab := tables[0]
+	col := len(tab.Columns) - 1
+	if tab.Columns[col] != "runs needed (projected)" {
+		t.Fatalf("last column is %q, want the projected runs", tab.Columns[col])
+	}
+	want := []int{27343, 45043, 63953, 90098, 110459} // alpha 10%, 5%, 2.5%, 1%, 0.5%
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("table5 has %d rows, want %d:\n%s", len(tab.Rows), len(want), buf.String())
+	}
+	prev := 0
+	for i, row := range tab.Rows {
+		n, err := strconv.Atoi(row[col])
+		if err != nil {
+			t.Fatalf("row %s: projected %q is not a run count", row[0], row[col])
+		}
+		if n <= prev {
+			t.Errorf("row %s: projected %d runs, not more than the looser level's %d", row[0], n, prev)
+		}
+		if n != want[i] {
+			t.Errorf("row %s: projected %d runs, want %d", row[0], n, want[i])
+		}
+		prev = n
+	}
 }
 
 func TestTable1(t *testing.T) {

@@ -192,3 +192,44 @@ func FuzzANOVA(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMinRunsProjected pins MinRunsProjected's answer contract over the
+// full float space: never panic; return 0 or a first rejection — n in
+// 2..MaxProjectedRuns rejects and, unless n = 2, n-1 does not; answer
+// only from finite means and deviation with meanA > meanB, std > 0 and
+// alpha in (0, 0.5); and return 0 from such inputs only when the cap
+// itself does not reject.
+func FuzzMinRunsProjected(f *testing.F) {
+	f.Add(4493.7666666666664, 4492.1625000000004, 146.35669983174335, 0.05) // Table 5's ROB pilot
+	f.Add(10.5, 10.0, 0.5, 0.10)
+	f.Add(100.0, 1.0, 1.0, 0.005) // rejects at 2
+	f.Add(1.0+1e-6, 1.0, 1.0, 0.05)
+	f.Add(10.0, 10.0, 0.5, 0.05)
+	f.Add(9.0, 10.0, 0.5, 0.05)
+	f.Add(10.5, 10.0, math.NaN(), 0.05)
+	f.Add(math.Inf(1), 10.0, 0.5, 0.05)
+	f.Add(math.MaxFloat64, -math.MaxFloat64, 1.0, 0.05)
+	f.Add(10.5, 10.0, 1e200, 0.05)
+	f.Add(10.5, 10.0, 0.5, 1e-300)
+
+	f.Fuzz(func(t *testing.T, meanA, meanB, std, alpha float64) {
+		n := MinRunsProjected(meanA, meanB, std, alpha) // must never panic
+		valid := checkFinite([]float64{meanA, meanB, std}) == nil &&
+			meanA > meanB && std > 0 && alpha > 0 && alpha < 0.5
+		if n == 0 {
+			if valid && projectedRejects(MaxProjectedRuns, meanA, meanB, std, alpha) {
+				t.Fatalf("MinRunsProjected(%v, %v, %v, %v) = 0, but %d runs reject", meanA, meanB, std, alpha, MaxProjectedRuns)
+			}
+			return
+		}
+		if !valid {
+			t.Fatalf("MinRunsProjected(%v, %v, %v, %v) = %d from inputs with nothing to project from", meanA, meanB, std, alpha, n)
+		}
+		if n < 2 || n > MaxProjectedRuns {
+			t.Fatalf("MinRunsProjected(%v, %v, %v, %v) = %d, outside 2..%d", meanA, meanB, std, alpha, n, MaxProjectedRuns)
+		}
+		if !projectedRejects(n, meanA, meanB, std, alpha) || (n > 2 && projectedRejects(n-1, meanA, meanB, std, alpha)) {
+			t.Fatalf("MinRunsProjected(%v, %v, %v, %v) = %d is not the first rejection", meanA, meanB, std, alpha, n)
+		}
+	})
+}

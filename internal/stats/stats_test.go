@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"varsim/internal/rng"
 )
 
 func TestDescriptive(t *testing.T) {
@@ -216,10 +218,13 @@ func TestMinRunsForSignificance(t *testing.T) {
 	}
 }
 
+// table5Alphas are the significance levels of the paper's Table 5.
+var table5Alphas = []float64{0.10, 0.05, 0.025, 0.01, 0.005}
+
 func TestMinRunsProjectedShape(t *testing.T) {
 	// Tighter alpha must need at least as many runs.
 	prev := 0
-	for _, alpha := range []float64{0.10, 0.05, 0.025, 0.01, 0.005} {
+	for _, alpha := range table5Alphas {
 		n := MinRunsProjected(10.5, 10.0, 0.5, alpha)
 		if n == 0 {
 			t.Fatalf("MinRunsProjected returned 0 for alpha=%v", alpha)
@@ -241,7 +246,7 @@ func TestMinRunsProjectedPaperTable5Shape(t *testing.T) {
 	// band of magnitudes and strictly increasing pattern.
 	effect := 0.9
 	runs := make([]int, 0, 5)
-	for _, alpha := range []float64{0.10, 0.05, 0.025, 0.01, 0.005} {
+	for _, alpha := range table5Alphas {
 		runs = append(runs, MinRunsProjected(1+effect, 1, 1, alpha))
 	}
 	for i := 1; i < len(runs); i++ {
@@ -251,5 +256,124 @@ func TestMinRunsProjectedPaperTable5Shape(t *testing.T) {
 	}
 	if runs[0] < 3 || runs[len(runs)-1] > 40 {
 		t.Errorf("implausible run counts %v", runs)
+	}
+}
+
+// projectedRejects reports whether the one-sided t-test MinRunsProjected
+// plans for rejects at n runs per configuration.
+func projectedRejects(n int, meanA, meanB, std, alpha float64) bool {
+	t := (meanA - meanB) / math.Sqrt(2*std*std/float64(n))
+	return t > TQuantile(1-alpha, float64(2*n-2))
+}
+
+// minRunsLinear is the reference MinRunsProjected: try every n from 2
+// to the cap in turn and return the first that rejects.
+func minRunsLinear(meanA, meanB, std, alpha float64) int {
+	for n := 2; n <= MaxProjectedRuns; n++ {
+		if projectedRejects(n, meanA, meanB, std, alpha) {
+			return n
+		}
+	}
+	return 0
+}
+
+// effectFirstRejectingAt returns the mean difference, at unit standard
+// deviation, whose t-test first rejects at level alpha with n runs: the
+// statistic clears n's critical value by one part in 10⁹, too little
+// to clear the larger critical value of n-1.
+func effectFirstRejectingAt(n int, alpha float64) float64 {
+	return TQuantile(1-alpha, float64(2*n-2)) * (1 + 1e-9) * math.Sqrt(2/float64(n))
+}
+
+// TestMinRunsProjectedMatchesLinearScan checks the bracketed search
+// against the linear scan over random pilots. Effects of at least 0.05
+// standard deviations keep every answer, and so the reference, below
+// ~8000 runs.
+func TestMinRunsProjectedMatchesLinearScan(t *testing.T) {
+	r := rng.New(0x7AB5)
+	for i := 0; i < 300; i++ {
+		sd := math.Exp(6*r.Float64() - 3)
+		effect := sd * 0.05 * math.Exp(r.Float64()*math.Log(80)) // 0.05..4 sd
+		alpha := 0.001 + 0.249*r.Float64()
+		meanB := 1000 * r.Float64()
+		meanA := meanB + effect
+		got, want := MinRunsProjected(meanA, meanB, sd, alpha), minRunsLinear(meanA, meanB, sd, alpha)
+		if got != want {
+			t.Fatalf("MinRunsProjected(%v, %v, %v, %v) = %d, linear scan %d", meanA, meanB, sd, alpha, got, want)
+		}
+	}
+}
+
+// TestMinRunsProjectedBrackets places the answer at 2 and on both sides
+// of every power of two the search gallops through, at each Table-5
+// level. Up to 2¹⁰ the linear scan confirms each answer; beyond, the
+// answer must be the constructed one and a first rejection.
+func TestMinRunsProjectedBrackets(t *testing.T) {
+	for _, alpha := range table5Alphas {
+		targets := []int{2, 3}
+		for p := 4; p <= 1<<19; p *= 2 {
+			targets = append(targets, p-1, p, p+1)
+		}
+		for _, n := range targets {
+			effect := effectFirstRejectingAt(n, alpha)
+			got := MinRunsProjected(effect, 0, 1, alpha)
+			if got != n {
+				t.Fatalf("alpha %v: answer constructed at %d, MinRunsProjected found %d", alpha, n, got)
+			}
+			if !projectedRejects(n, effect, 0, 1, alpha) || (n > 2 && projectedRejects(n-1, effect, 0, 1, alpha)) {
+				t.Fatalf("alpha %v: %d is not the first rejection", alpha, n)
+			}
+			if n <= 1<<10 {
+				if ref := minRunsLinear(effect, 0, 1, alpha); ref != n {
+					t.Fatalf("alpha %v: linear scan finds %d, want %d", alpha, ref, n)
+				}
+			}
+		}
+	}
+}
+
+// TestMinRunsProjectedCap pins the edge of the search: an answer just
+// below or at MaxProjectedRuns is returned, one just past it is 0.
+func TestMinRunsProjectedCap(t *testing.T) {
+	const alpha = 0.05
+	for _, n := range []int{MaxProjectedRuns - 1, MaxProjectedRuns} {
+		effect := effectFirstRejectingAt(n, alpha)
+		if got := MinRunsProjected(effect, 0, 1, alpha); got != n {
+			t.Fatalf("answer constructed at %d, MinRunsProjected found %d", n, got)
+		}
+		if !projectedRejects(n, effect, 0, 1, alpha) || projectedRejects(n-1, effect, 0, 1, alpha) {
+			t.Fatalf("%d is not the first rejection", n)
+		}
+	}
+	effect := effectFirstRejectingAt(MaxProjectedRuns+1, alpha)
+	if !projectedRejects(MaxProjectedRuns+1, effect, 0, 1, alpha) || projectedRejects(MaxProjectedRuns, effect, 0, 1, alpha) {
+		t.Fatal("the past-the-cap input does not first reject at the cap + 1")
+	}
+	if got := MinRunsProjected(effect, 0, 1, alpha); got != 0 {
+		t.Fatalf("answer past the cap: MinRunsProjected = %d, want 0", got)
+	}
+}
+
+// TestMinRunsProjectedNonFinite requires 0, at once, from inputs that
+// give nothing to project from: a pilot of one run has a NaN standard
+// deviation, and an infinite mean is no estimate at all.
+func TestMinRunsProjectedNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][4]float64{
+		{10.5, 10, nan, 0.05},
+		{nan, 10, 0.5, 0.05},
+		{10.5, nan, 0.5, 0.05},
+		{inf, 10, 0.5, 0.05},
+		{10.5, -inf, 0.5, 0.05},
+		{-inf, -inf, 0.5, 0.05},
+		{10.5, 10, inf, 0.05},
+		{10.5, 10, -inf, 0.05},
+		{10.5, 10, 0.5, nan},
+		{10.5, 10, 0.5, 0},
+		{10.5, 10, 0.5, 0.5},
+	} {
+		if n := MinRunsProjected(c[0], c[1], c[2], c[3]); n != 0 {
+			t.Errorf("MinRunsProjected(%v, %v, %v, %v) = %d, want 0", c[0], c[1], c[2], c[3], n)
+		}
 	}
 }
