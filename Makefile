@@ -8,10 +8,12 @@
 # graph, whose builder tests run concurrent type-checks — and the
 # copy-on-write layers: the machine's frozen-base snapshot path and the
 # checkpoint base cache, whose tests branch siblings from shared frozen
-# state concurrently — and the adaptive sampler, whose process-wide
-# counters and live report are fed from fleet workers). `make lint`
-# runs varsimlint, the determinism-contract analyzer suite (detwall,
-# puritywall, seedflow, maporder, kindexhaust inside the wall;
+# state concurrently, the cache slabs whose copy-on-write pages those
+# siblings share, and the scientific workload, whose clones share
+# immutable per-phase draws — and the adaptive sampler, whose
+# process-wide counters and live report are fed from fleet workers).
+# `make lint` runs varsimlint, the determinism-contract analyzer suite
+# (detwall, puritywall, seedflow, maporder, kindexhaust inside the wall;
 # synccheck, stickyerr, floatorder outside it; staleallow auditing the
 # suppressions themselves) against the checked-in lint.baseline.json —
 # see docs/DETERMINISM.md. `make lint-sarif` writes the same run as
@@ -85,7 +87,7 @@ lint-baseline:
 	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json -write-baseline ./...
 
 race:
-	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/checkpoint ./internal/sampling
+	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/checkpoint ./internal/sampling ./internal/mem ./internal/workload
 
 # Go's fuzzer accepts one target per invocation; each run seeds from the
 # committed corpus under the package's testdata/fuzz and then mutates

@@ -240,8 +240,13 @@ func TestPlanRuns(t *testing.T) {
 func TestPlanRunsOneRunPilot(t *testing.T) {
 	a := Space{Values: []float64{100}}
 	b := Space{Values: []float64{95}}
-	if p := PlanRuns(a, b, 0.01, 0.05); p.ByHypothesis != 0 {
+	p := PlanRuns(a, b, 0.01, 0.05)
+	if p.ByHypothesis != 0 {
 		t.Fatalf("one-run pilots planned %d runs by hypothesis, want 0", p.ByHypothesis)
+	}
+	// A one-run pilot's CoV is NaN; it used to come back as int(NaN).
+	if p.ByRelativeError != 0 {
+		t.Fatalf("one-run pilots planned %d runs by relative error, want 0", p.ByRelativeError)
 	}
 }
 

@@ -119,7 +119,10 @@ func (m *Machine) issueBus(cpu int32, block uint64, kind mem.AccessKind, ifetch 
 func (m *Machine) handleBusGrant() {
 	now := m.eng.Now()
 	req := m.bus.q[0]
-	m.bus.q = m.bus.q[1:]
+	// Shift in place rather than reslicing past the head: a resliced
+	// queue leaks its front, so appends would keep reallocating.
+	// Snapshots deep-copy the queue, so no clone shares this array.
+	m.bus.q = m.bus.q[:copy(m.bus.q, m.bus.q[1:])]
 	m.bus.freeAt = now + m.cfg.BusOccupancyNS
 	m.busDelay.Observe(float64(now - req.issuedAt))
 

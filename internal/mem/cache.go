@@ -57,15 +57,34 @@ func (s State) CanWrite() bool { return s == Modified || s == Exclusive }
 // requests.
 func (s State) IsOwner() bool { return s == Owned || s == Modified || s == Exclusive }
 
+// line is one cache way, packed into 16 bytes so a 4-way set fits one
+// 64-byte host cache line and every copy-on-write page copy moves half
+// the bytes a padded struct would. meta holds the coherence state in
+// bits 0-7, the L1 dirty flag in bit 8 and the last-touch LRU stamp
+// (larger = more recent) in bits 16-63.
 type line struct {
-	tag   uint64 // block number (address >> blockBits), including set bits
-	state State
-	lru   uint64 // last-touch stamp; larger = more recent
-	dirty bool   // L1 only: line modified since fill
+	tag  uint64 // block number (address >> blockBits), including set bits
+	meta uint64
 }
 
+const (
+	metaState  = 0xff
+	metaDirty  = 1 << 8
+	stampShift = 16
+	// maxStamp is the largest LRU stamp the meta word can hold; the
+	// cache panics rather than wrap past it (see Cache.tick).
+	maxStamp = 1<<(64-stampShift) - 1
+)
+
+func (l *line) state() State { return State(l.meta & metaState) }
+func (l *line) dirty() bool  { return l.meta&metaDirty != 0 }
+func (l *line) lru() uint64  { return l.meta >> stampShift }
+
+func (l *line) setState(s State)    { l.meta = l.meta&^metaState | uint64(s) }
+func (l *line) setLRU(stamp uint64) { l.meta = l.meta&(1<<stampShift-1) | stamp<<stampShift }
+
 // targetPageLines sizes copy-on-write pages: pages hold up to this many
-// lines (~16 KiB of line structs), small enough that the first write
+// lines (~8 KiB of 16-byte lines), small enough that the first write
 // after a branch copies little, large enough that the page table stays
 // a few hundred entries for the biggest configured cache.
 const targetPageLines = 512
@@ -91,7 +110,7 @@ type Cache struct {
 	assoc   int
 	sets    int
 	setMask uint64
-	stamp   uint64
+	stamp   uint64 // last LRU stamp handed out; at most maxStamp
 
 	// sig is an incremental XOR-fold over the valid lines' (way, tag,
 	// state, dirty) tuples — the cache's contribution to interval state
@@ -203,11 +222,23 @@ func (c *Cache) find(block uint64) (pg []line, p, j int) {
 	pg = c.pages[p]
 	for w := 0; w < c.assoc; w++ {
 		ln := &pg[base+w]
-		if ln.state != Invalid && ln.tag == block {
+		if ln.tag == block && ln.state() != Invalid {
 			return pg, p, base + w
 		}
 	}
 	return nil, 0, -1
+}
+
+// tick hands out the next LRU stamp. The stamp shares a 64-bit word
+// with the line's state, leaving it 48 bits; at 2^48-1 the cache
+// panics instead of wrapping, since a wrapped stamp would silently
+// reorder LRU victims.
+func (c *Cache) tick() uint64 {
+	if c.stamp >= maxStamp {
+		panic(fmt.Sprintf("mem: LRU stamp reached its 48-bit limit (%d)", c.stamp))
+	}
+	c.stamp++
+	return c.stamp
 }
 
 // Probe looks up block. On a hit it refreshes LRU and returns the state;
@@ -215,11 +246,11 @@ func (c *Cache) find(block uint64) (pg []line, p, j int) {
 // refresh is a write, so a hit on a shared page materializes it.
 func (c *Cache) Probe(block uint64) State {
 	if _, p, j := c.find(block); j >= 0 {
+		stamp := c.tick()
 		pg := c.ensureOwned(p)
-		c.stamp++
-		pg[j].lru = c.stamp
+		pg[j].setLRU(stamp)
 		c.Hits++
-		return pg[j].state
+		return pg[j].state()
 	}
 	c.Misses++
 	return Invalid
@@ -228,7 +259,7 @@ func (c *Cache) Probe(block uint64) State {
 // GetState returns the state of block without touching LRU or counters.
 func (c *Cache) GetState(block uint64) State {
 	if pg, _, j := c.find(block); j >= 0 {
-		return pg[j].state
+		return pg[j].state()
 	}
 	return Invalid
 }
@@ -243,17 +274,17 @@ func (c *Cache) SetState(block uint64, s State) {
 			pg[j] = line{}
 			return
 		}
-		pg[j].state = s
+		pg[j].setState(s)
 		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
 	}
 }
 
 // SetDirty marks a resident block dirty (L1 bookkeeping).
 func (c *Cache) SetDirty(block uint64) {
-	if pg0, p, j := c.find(block); j >= 0 && !pg0[j].dirty {
+	if pg0, p, j := c.find(block); j >= 0 && !pg0[j].dirty() {
 		pg := c.ensureOwned(p)
 		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		pg[j].dirty = true
+		pg[j].meta |= metaDirty
 		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
 	}
 }
@@ -270,11 +301,11 @@ type Victim struct {
 // used). If the block is already resident its state is updated in place.
 func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
 	if _, p, j := c.find(block); j >= 0 {
+		stamp := c.tick()
 		pg := c.ensureOwned(p)
 		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
-		c.stamp++
-		pg[j].state = s
-		pg[j].lru = c.stamp
+		pg[j].setState(s)
+		pg[j].setLRU(stamp)
 		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
 		return Victim{}, false
 	}
@@ -284,26 +315,26 @@ func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
 	var oldest uint64 = ^uint64(0)
 	for w := 0; w < c.assoc; w++ {
 		ln := &pg[base+w]
-		if ln.state == Invalid {
+		if ln.state() == Invalid {
 			way = base + w
 			evicted = false
 			break
 		}
-		if ln.lru < oldest {
-			oldest = ln.lru
+		if lru := ln.lru(); lru < oldest {
+			oldest = lru
 			way = base + w
 			evicted = true
 		}
 	}
+	stamp := c.tick()
 	pg = c.ensureOwned(p)
 	if evicted {
 		old := &pg[way]
-		v = Victim{Block: old.tag, State: old.state, Dirty: old.dirty}
+		v = Victim{Block: old.tag, State: old.state(), Dirty: old.dirty()}
 		c.Evictions++
 		c.sig ^= c.lineSig(c.lineIndex(p, way), old)
 	}
-	c.stamp++
-	pg[way] = line{tag: block, state: s, lru: c.stamp}
+	pg[way] = line{tag: block, meta: uint64(s) | stamp<<stampShift}
 	c.sig ^= c.lineSig(c.lineIndex(p, way), &pg[way])
 	return v, evicted
 }
@@ -312,8 +343,8 @@ func (c *Cache) Fill(block uint64, s State) (v Victim, evicted bool) {
 func (c *Cache) Invalidate(block uint64) (prior State, dirty bool) {
 	if _, p, j := c.find(block); j >= 0 {
 		pg := c.ensureOwned(p)
-		prior = pg[j].state
-		dirty = pg[j].dirty
+		prior = pg[j].state()
+		dirty = pg[j].dirty()
 		c.sig ^= c.lineSig(c.lineIndex(p, j), &pg[j])
 		pg[j] = line{}
 	}
@@ -357,7 +388,7 @@ func (c *Cache) Occupancy() float64 {
 	for _, pg := range c.pages {
 		total += len(pg)
 		for j := range pg {
-			if pg[j].state != Invalid {
+			if pg[j].state() != Invalid {
 				n++
 			}
 		}

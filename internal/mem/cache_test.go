@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"varsim/internal/config"
 	"varsim/internal/rng"
@@ -166,7 +167,7 @@ func TestCacheStructuralInvariants(t *testing.T) {
 			seen := map[uint64]bool{}
 			for w := 0; w < c.Assoc(); w++ {
 				ln := c.lineAt(set*c.Assoc() + w)
-				if ln.state == Invalid {
+				if ln.state() == Invalid {
 					continue
 				}
 				if int(ln.tag)%c.Sets() != set {
@@ -197,6 +198,71 @@ func TestStateHelpers(t *testing.T) {
 	for _, s := range []State{Invalid, Shared, Owned, Modified} {
 		if s.String() == "?" {
 			t.Error("missing State name")
+		}
+	}
+}
+
+// TestLineIsPacked pins the 16-byte line: a 4-way set fits one 64-byte
+// host cache line, and copy-on-write page copies stay half the size of
+// a padded (tag, state, lru, dirty) struct.
+func TestLineIsPacked(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Fatalf("line is %d bytes, want 16", got)
+	}
+}
+
+// TestLineFieldsRoundTrip checks the meta-word accessors keep state,
+// dirtiness and the full 48-bit stamp independent of each other, with
+// tags above 2^40 kept whole.
+func TestLineFieldsRoundTrip(t *testing.T) {
+	ln := line{tag: 1<<40 + 5}
+	ln.setLRU(maxStamp)
+	ln.setState(Exclusive)
+	ln.meta |= metaDirty
+	if ln.state() != Exclusive || !ln.dirty() || ln.lru() != maxStamp || ln.tag != 1<<40+5 {
+		t.Fatalf("round trip lost a field: %+v", ln)
+	}
+	ln.setState(Owned)
+	ln.setLRU(7)
+	if ln.state() != Owned || !ln.dirty() || ln.lru() != 7 {
+		t.Fatalf("rewrite disturbed a neighbouring field: %+v", ln)
+	}
+}
+
+// TestStampLimitPanics checks the LRU stamp never wraps: a cache whose
+// stamp sits one below the 48-bit limit takes one more touch, and the
+// touch after that panics without changing any line or stamp.
+func TestStampLimitPanics(t *testing.T) {
+	c := smallCache()
+	c.Fill(1, Shared)
+	c.stamp = maxStamp - 1
+	c.Probe(1)
+	if pg, _, j := c.find(1); pg[j].lru() != maxStamp {
+		t.Fatalf("stamp %d after the last legal touch, want %d", pg[j].lru(), uint64(maxStamp))
+	}
+	before := snapshotLines(c)
+	for _, tc := range []struct {
+		name  string
+		touch func()
+	}{
+		{"probe hit", func() { c.Probe(1) }},
+		{"fill new", func() { c.Fill(2, Shared) }},
+		{"fill refill", func() { c.Fill(1, Modified) }},
+	} {
+		name := tc.name
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at the stamp limit did not panic", name)
+				}
+			}()
+			tc.touch()
+		}()
+		if c.stamp != maxStamp {
+			t.Fatalf("%s moved the stamp to %d", name, c.stamp)
+		}
+		if !linesEqual(snapshotLines(c), before) {
+			t.Fatalf("%s changed a line before panicking", name)
 		}
 	}
 }

@@ -10,17 +10,17 @@ import "varsim/internal/digest"
 // cache's signature is 0 and a line's insert/remove are exact XOR
 // inverses. LRU is excluded on purpose — see the sig field's comment.
 func (c *Cache) lineSig(i int, ln *line) uint64 {
-	if ln.state == Invalid {
+	if ln.state() == Invalid {
 		return 0
 	}
 	h := uint64(14695981039346656037)
 	h = (h ^ uint64(i)) * 1099511628211
 	h = (h ^ ln.tag) * 1099511628211
 	b := uint64(0)
-	if ln.dirty {
+	if ln.dirty() {
 		b = 1
 	}
-	h = (h ^ (uint64(ln.state)<<1 | b)) * 1099511628211
+	h = (h ^ (uint64(ln.state())<<1 | b)) * 1099511628211
 	return digest.Mix64(h)
 }
 

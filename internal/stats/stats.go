@@ -260,14 +260,25 @@ func WelchTTest(a, b []float64) (TTestResult, error) {
 //
 // cov is the coefficient of variation S/Ybar expressed as a FRACTION
 // (e.g. 0.09 for 9%). The paper's worked example: r=0.04, 95% confidence,
-// cov=0.09 => n ≈ 20.
+// cov=0.09 => n ≈ 20. It returns 0 unless cov and relErr are finite
+// and positive and confidence lies in (0, 1): a one-run pilot's NaN
+// CoV, say, plans nothing rather than int(NaN).
 func SampleSizeRelErr(cov, relErr, confidence float64) int {
-	if cov <= 0 || relErr <= 0 || confidence <= 0 || confidence >= 1 {
+	if !sampleSizeInputsOK(cov, relErr, confidence) {
 		return 0
 	}
 	z := NormQuantile(1 - (1-confidence)/2)
 	n := z * cov / relErr
 	return int(math.Ceil(n * n))
+}
+
+// sampleSizeInputsOK reports whether the SampleSizeRelErr inputs can
+// be planned from: cov and relErr finite and positive, confidence in
+// (0, 1). NaN fails every comparison, so it is rejected too.
+func sampleSizeInputsOK(cov, relErr, confidence float64) bool {
+	return cov > 0 && !math.IsInf(cov, 1) &&
+		relErr > 0 && !math.IsInf(relErr, 1) &&
+		confidence > 0 && confidence < 1
 }
 
 // SampleSizeRelErrT is the t-consistent refinement of SampleSizeRelErr:
@@ -283,7 +294,7 @@ func SampleSizeRelErr(cov, relErr, confidence float64) int {
 // worked example becomes 22). SampleSizeRelErr itself is unchanged —
 // it remains the paper's printed formula.
 func SampleSizeRelErrT(cov, relErr, confidence float64) int {
-	if cov <= 0 || relErr <= 0 || confidence <= 0 || confidence >= 1 {
+	if !sampleSizeInputsOK(cov, relErr, confidence) {
 		return 0
 	}
 	p := 1 - (1-confidence)/2

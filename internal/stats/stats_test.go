@@ -205,6 +205,38 @@ func TestSampleSizeMonotonicity(t *testing.T) {
 	}
 }
 
+// TestSampleSizeNonFinite checks both sample-size rules plan nothing
+// (0) from a NaN or infinite input, or a confidence outside (0, 1),
+// instead of converting a NaN or infinite run count to int.
+func TestSampleSizeNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name                    string
+		cov, relErr, confidence float64
+	}{
+		{"NaN cov", nan, 0.04, 0.95},
+		{"+Inf cov", inf, 0.04, 0.95},
+		{"-Inf cov", -inf, 0.04, 0.95},
+		{"NaN relErr", 0.09, nan, 0.95},
+		{"+Inf relErr", 0.09, inf, 0.95},
+		{"-Inf relErr", 0.09, -inf, 0.95},
+		{"NaN confidence", 0.09, 0.04, nan},
+		{"+Inf confidence", 0.09, 0.04, inf},
+		{"-Inf confidence", 0.09, 0.04, -inf},
+		{"confidence 1", 0.09, 0.04, 1},
+		{"confidence 0", 0.09, 0.04, 0},
+		{"negative cov", -0.09, 0.04, 0.95},
+		{"zero relErr", 0.09, 0, 0.95},
+	} {
+		if n := SampleSizeRelErr(tc.cov, tc.relErr, tc.confidence); n != 0 {
+			t.Errorf("SampleSizeRelErr(%s) = %d, want 0", tc.name, n)
+		}
+		if n := SampleSizeRelErrT(tc.cov, tc.relErr, tc.confidence); n != 0 {
+			t.Errorf("SampleSizeRelErrT(%s) = %d, want 0", tc.name, n)
+		}
+	}
+}
+
 func TestMinRunsForSignificance(t *testing.T) {
 	slow := []float64{10.5, 10.6, 10.4, 10.7, 10.5, 10.6, 10.4, 10.5, 10.6, 10.5}
 	fast := []float64{10.0, 10.1, 9.9, 10.2, 10.0, 10.1, 9.9, 10.0, 10.1, 10.0}

@@ -21,13 +21,15 @@ func (e *TxnEngine) HashProgress(h *digest.Hash) {
 }
 
 // HashProgress implements Hasher: per-thread phase progress and
-// generator state.
+// generator state. The phase's op count is hashed where an engine that
+// materialised the phase would hash its op list's length, so a digest
+// does not depend on how the phase's ops are produced.
 func (e *SciEngine) HashProgress(h *digest.Hash) {
 	for i := range e.threads {
 		t := &e.threads[i]
 		h.U64(t.rng.Digest())
 		h.I64(int64(t.pos))
-		h.I64(int64(len(t.ops)))
+		h.I64(int64(t.n))
 		h.I64(int64(t.phase))
 		h.Bool(t.done)
 	}

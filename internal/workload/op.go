@@ -118,8 +118,9 @@ type Hasher interface {
 // frozen instance can be Cloned from several goroutines at once (Clone
 // on a frozen instance performs no writes); an instance that has run
 // since its last Freeze must be re-frozen before concurrent cloning.
-// Instances without Freeze are assumed to deep-copy in Clone, for
-// which no freeze step is needed.
+// Instances without Freeze must Clone without writing to the source —
+// by deep-copying, or, like SciEngine, by sharing only state that
+// neither side ever writes — so no freeze step is needed.
 type Freezer interface {
 	Freeze()
 }

@@ -38,26 +38,38 @@ func (p *SciProfile) Validate() error {
 	return nil
 }
 
-// sciThread is one worker thread's generator state.
+// sciThread is one worker thread's generator state: a cursor over the
+// current barrier phase. The phase's random draws are taken when it
+// starts, in the order the ops consume them, into slices that are
+// never written afterwards; every op is then produced from the cursor,
+// so a phase costs a few KiB of draws instead of its whole op list.
 type sciThread struct {
-	rng    rng.Stream
-	ops    []Op
-	pos    int
-	phase  int
-	done   bool
-	priv   Region
-	shared bool // ops buffer aliased with a clone; reallocate before reuse
+	rng   rng.Stream
+	pos   int  // ops produced in the current phase
+	n     int  // ops in the current phase
+	phase int  // phases started; the current phase is phase-1
+	done  bool // the program-end phase has started
+	touch int  // current sweep touch; == touches once in the tail
+	step  int  // op within the touch, or within the tail
+
+	write []uint64 // bit i: touch i also stores
+	taken []uint64 // bit i/4: the back-edge after touch i (i%4 == 3) is taken
+	zipf  []uint64 // shared-read offsets, one per sharedEvery touches
 }
 
 // SciEngine implements Instance for barrier-phase scientific programs.
 type SciEngine struct {
 	prof    SciProfile
-	seed    uint64
 	threads []sciThread
 	shared  Region
 	parts   []Region
 	code    Region
-	frozen  bool // all threads' ops buffers marked shared since last build
+
+	// Per-phase sweep shape, identical for every thread and phase.
+	stride        int64 // bytes between touches (at least one block)
+	touches       int
+	instrPerTouch int64
+	sharedEvery   int // touches per shared read; 0 = none
 }
 
 // NewSciEngine builds a scientific workload instance.
@@ -65,7 +77,7 @@ func NewSciEngine(prof SciProfile, seed uint64) *SciEngine {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	e := &SciEngine{prof: prof, seed: seed}
+	e := &SciEngine{prof: prof}
 	base := TableBase
 	e.shared = Region{Base: base, Size: uint64(max(prof.SharedBytes, 64))}
 	base += e.shared.Size
@@ -79,12 +91,19 @@ func NewSciEngine(prof SciProfile, seed uint64) *SciEngine {
 		cs = 128 << 10
 	}
 	e.code = Region{Base: CodeBase, Size: cs}
+
+	// Compute interleaved with the sweep so misses spread through the
+	// phase rather than bunching at its start.
+	e.stride = max(prof.SweepStride, 64)
+	e.touches = max(int(int64(e.parts[0].Size)/e.stride), 1)
+	e.instrPerTouch = max(prof.InstrPerPhase/int64(e.touches), 1)
+	if prof.SharedReads > 0 {
+		e.sharedEvery = max(e.touches/prof.SharedReads, 1)
+	}
+
 	e.threads = make([]sciThread, prof.Threads)
 	for i := range e.threads {
-		e.threads[i] = sciThread{
-			rng:  rng.New(rng.Derive(seed, 0x2000+uint64(i))),
-			priv: StackRegion(i),
-		}
+		e.threads[i] = sciThread{rng: rng.New(rng.Derive(seed, 0x2000+uint64(i)))}
 	}
 	return e
 }
@@ -107,131 +126,137 @@ func (e *SciEngine) NumBarriers() int { return 1 }
 // Next implements Instance.
 func (e *SciEngine) Next(tid int) Op {
 	t := &e.threads[tid]
-	for t.pos >= len(t.ops) {
+	if t.pos >= t.n {
 		if t.done {
 			return Op{Kind: OpDone}
 		}
-		e.buildPhase(tid)
+		e.startPhase(tid)
 	}
-	op := t.ops[t.pos]
+	if t.done {
+		// Program end: thread 0 reports the single whole-program
+		// "transaction"; everyone terminates.
+		t.pos++
+		if tid == 0 && t.pos == 1 {
+			return Op{Kind: OpTxnEnd, PC: e.code.At(0)}
+		}
+		return Op{Kind: OpDone}
+	}
+	op := e.phaseOp(t, tid)
+	op.PC = e.code.At(uint64((t.phase-1)%64)*256 + 4*uint64(t.pos))
 	t.pos++
 	return op
 }
 
-// Freeze marks every thread's op buffer as shared — see
-// TxnEngine.Freeze and workload.Freezer.
-func (e *SciEngine) Freeze() {
-	if e.frozen {
-		return
-	}
-	for i := range e.threads {
-		e.threads[i].shared = true
-	}
-	e.frozen = true
-}
-
-// Materialize copies any thread op buffers still shared with another
-// instance (see workload.Materializer).
-func (e *SciEngine) Materialize() {
-	for i := range e.threads {
-		t := &e.threads[i]
-		if t.shared {
-			t.ops = append([]Op(nil), t.ops...)
-			t.shared = false
-		}
-	}
-	e.frozen = false
-}
-
-// Clone implements Instance. The per-thread op buffers are shared
-// copy-on-write, as in TxnEngine.Clone.
+// Clone implements Instance. The draw slices are never written once a
+// phase has started, so the clone shares them and copies only the
+// thread cursors; Clone performs no writes on e.
 func (e *SciEngine) Clone() Instance {
-	e.Freeze()
 	cp := *e
 	cp.threads = append([]sciThread(nil), e.threads...)
-	cp.parts = append([]Region(nil), e.parts...)
 	return &cp
 }
 
-// buildPhase expands one barrier phase for thread tid.
-func (e *SciEngine) buildPhase(tid int) {
+// startPhase begins thread tid's next barrier phase: it takes the
+// phase's rng draws (write bits, shared-read Zipf offsets, back-edge
+// outcomes, in the order the phase's ops use them) and counts its ops.
+func (e *SciEngine) startPhase(tid int) {
 	t := &e.threads[tid]
-	if t.shared {
-		// Aliased with a snapshot clone: drop, don't truncate in place.
-		t.ops = nil
-		t.shared = false
-		e.frozen = false
-	}
-	t.ops = t.ops[:0]
-	t.pos = 0
 	p := e.prof
-
+	t.pos, t.touch, t.step = 0, 0, 0
+	t.write, t.taken, t.zipf = nil, nil, nil
 	if t.phase >= p.Phases {
-		// Program end: thread 0 reports the single whole-program
-		// "transaction"; everyone terminates.
+		t.n = 1 // OpDone
 		if tid == 0 {
-			t.ops = append(t.ops, Op{Kind: OpTxnEnd, PC: e.code.At(0)})
+			t.n++ // OpTxnEnd
 		}
-		t.ops = append(t.ops, Op{Kind: OpDone})
 		t.done = true
 		return
 	}
-
-	part := e.parts[tid]
-	pc := uint64(t.phase%64) * 256
-	emit := func(op Op) {
-		op.PC = e.code.At(pc)
-		t.ops = append(t.ops, op)
-		pc += 4
+	write := make([]uint64, (e.touches+63)/64)
+	taken := make([]uint64, (e.touches/4+63)/64)
+	var zipf []uint64
+	if e.sharedEvery > 0 {
+		zipf = make([]uint64, 0, (e.touches+e.sharedEvery-1)/e.sharedEvery)
 	}
-
-	// Compute interleaved with the sweep so misses spread through the
-	// phase rather than bunching at its start.
-	stride := p.SweepStride
-	if stride < 64 {
-		stride = 64
-	}
-	touches := int(int64(part.Size) / stride)
-	if touches < 1 {
-		touches = 1
-	}
-	instrPerTouch := p.InstrPerPhase / int64(touches)
-	if instrPerTouch < 1 {
-		instrPerTouch = 1
-	}
-	sharedEvery := 0
-	if p.SharedReads > 0 {
-		sharedEvery = max(touches/p.SharedReads, 1)
-	}
-	for i := 0; i < touches; i++ {
-		addr := part.At(uint64(int64(i) * stride))
-		emit(Op{Kind: OpLoad, Addr: addr})
+	// Per touch: a load and a compute block, plus the optional ops
+	// counted below; then the boundary loads and the four-op reduction.
+	n := 2*e.touches + 2*p.BoundaryRows + 4
+	blocks := int(e.shared.Size / 64)
+	for i := 0; i < e.touches; i++ {
 		if t.rng.Bool(p.WriteFrac) {
-			emit(Op{Kind: OpStore, Addr: addr})
+			write[i/64] |= 1 << (i % 64)
+			n++
 		}
-		if sharedEvery > 0 && i%sharedEvery == 0 {
-			soff := uint64(t.rng.Zipf(int(e.shared.Size/64), p.SharedTheta)) * 64
-			emit(Op{Kind: OpLoad, Addr: e.shared.At(soff)})
+		if e.sharedEvery > 0 && i%e.sharedEvery == 0 {
+			zipf = append(zipf, uint64(t.rng.Zipf(blocks, p.SharedTheta))*64)
+			n++
 		}
-		emit(Op{Kind: OpCompute, N: instrPerTouch})
 		if i%4 == 3 {
-			// Loop back-edges: highly predictable.
-			site := uint32(0x4000 + i%128)
-			emit(Op{Kind: OpBranch, Site: site, Taken: t.rng.Bool(0.97)})
+			if t.rng.Bool(0.97) {
+				taken[i/4/64] |= 1 << (i / 4 % 64)
+			}
+			n++
 		}
 	}
-	// Boundary exchange: read neighbours' edge blocks (Ocean-style
-	// producer/consumer sharing).
-	for bdry := 0; bdry < p.BoundaryRows; bdry++ {
-		nb := e.parts[(tid+1)%p.Threads]
-		emit(Op{Kind: OpLoad, Addr: nb.At(uint64(bdry) * 64)})
-		pv := e.parts[(tid+p.Threads-1)%p.Threads]
-		emit(Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - uint64(bdry)*64)})
-	}
-	// Phase-end reduction under the global lock.
-	emit(Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0)})
-	emit(Op{Kind: OpStore, Addr: e.shared.At(0)})
-	emit(Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0)})
-	emit(Op{Kind: OpBarrier, ID: 0})
+	t.write, t.taken, t.zipf, t.n = write, taken, zipf, n
 	t.phase++
+}
+
+// phaseOp produces the op at thread tid's cursor (without its PC) and
+// advances the cursor. A phase sweeps the thread's partition — each
+// touch is a load, an optional store, an optional shared-structure
+// read, a compute block and, every fourth touch, a loop back-edge —
+// then reads its neighbours' edge blocks (Ocean-style boundary
+// exchange) and ends with a reduction under the global lock and the
+// barrier.
+func (e *SciEngine) phaseOp(t *sciThread, tid int) Op {
+	if i := t.touch; i < e.touches {
+		for {
+			step := t.step
+			t.step++
+			switch step {
+			case 0:
+				return Op{Kind: OpLoad, Addr: e.parts[tid].At(uint64(int64(i) * e.stride))}
+			case 1:
+				if t.write[i/64]&(1<<(i%64)) != 0 {
+					return Op{Kind: OpStore, Addr: e.parts[tid].At(uint64(int64(i) * e.stride))}
+				}
+			case 2:
+				if e.sharedEvery > 0 && i%e.sharedEvery == 0 {
+					return Op{Kind: OpLoad, Addr: e.shared.At(t.zipf[i/e.sharedEvery])}
+				}
+			case 3:
+				if i%4 != 3 {
+					t.touch, t.step = i+1, 0
+				}
+				return Op{Kind: OpCompute, N: e.instrPerTouch}
+			default:
+				// Loop back-edges: highly predictable.
+				t.touch, t.step = i+1, 0
+				return Op{Kind: OpBranch, Site: uint32(0x4000 + i%128), Taken: t.taken[i/4/64]&(1<<(i/4%64)) != 0}
+			}
+		}
+	}
+	k := t.step
+	t.step++
+	rows := e.prof.BoundaryRows
+	if k < 2*rows {
+		bdry := uint64(k / 2)
+		if k%2 == 0 {
+			nb := e.parts[(tid+1)%e.prof.Threads]
+			return Op{Kind: OpLoad, Addr: nb.At(bdry * 64)}
+		}
+		pv := e.parts[(tid+e.prof.Threads-1)%e.prof.Threads]
+		return Op{Kind: OpLoad, Addr: pv.At(pv.Size - 64 - bdry*64)}
+	}
+	switch k - 2*rows {
+	case 0:
+		return Op{Kind: OpLockAcq, ID: 0, Addr: LockWordAddr(0)}
+	case 1:
+		return Op{Kind: OpStore, Addr: e.shared.At(0)}
+	case 2:
+		return Op{Kind: OpLockRel, ID: 0, Addr: LockWordAddr(0)}
+	default:
+		return Op{Kind: OpBarrier, ID: 0}
+	}
 }
