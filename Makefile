@@ -10,8 +10,9 @@
 # checkpoint base cache, whose tests branch siblings from shared frozen
 # state concurrently, the cache slabs whose copy-on-write pages those
 # siblings share, and the scientific workload, whose clones share
-# immutable per-phase draws — and the adaptive sampler, whose
-# process-wide counters and live report are fed from fleet workers).
+# immutable per-phase draws — the adaptive sampler, whose
+# process-wide counters and live report are fed from fleet workers —
+# and the varsim CLI, whose run mode branches its space on the fleet).
 # `make lint` runs varsimlint, the determinism-contract analyzer suite
 # (detwall, puritywall, seedflow, maporder, kindexhaust inside the wall;
 # synccheck, stickyerr, floatorder outside it; staleallow auditing the
@@ -87,7 +88,7 @@ lint-baseline:
 	$(GO) run ./cmd/varsimlint -baseline lint.baseline.json -write-baseline ./...
 
 race:
-	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/checkpoint ./internal/sampling ./internal/mem ./internal/workload
+	$(GO) test -race ./internal/fleet ./internal/sim ./internal/metrics ./internal/report ./internal/trace ./internal/obs ./internal/journal ./internal/faultinject ./internal/core ./internal/precision ./internal/lint/callgraph ./internal/machine ./internal/checkpoint ./internal/sampling ./internal/mem ./internal/workload ./cmd/varsim
 
 # Go's fuzzer accepts one target per invocation; each run seeds from the
 # committed corpus under the package's testdata/fuzz and then mutates

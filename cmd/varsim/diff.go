@@ -109,10 +109,15 @@ func runDiff(args []string) error {
 	if e.DigestIntervalNS <= 0 {
 		return fmt.Errorf("diff: -digest-us must be positive")
 	}
-	sp, sd, err := e.RunSpaceDigests()
+	base, err := e.Prepare()
 	if err != nil {
 		return err
 	}
+	b, err := varsim.Branch(base, e.Spec())
+	if err != nil {
+		return err
+	}
+	sp, sd := b.Space, b.Digests
 	if err := printDiff(fmt.Sprintf("run %d", *runA), fmt.Sprintf("run %d", *runB),
 		sd.Series[*runA], sd.Series[*runB], sp.Results[*runA], sp.Results[*runB]); err != nil {
 		return err

@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"varsim"
+	"varsim/internal/core"
 	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/metrics"
@@ -401,22 +402,13 @@ func run(e varsim.Experiment, rc runCfg) error {
 
 	// A resume whose journal already covers every run replays the whole
 	// space without preparing the machine — the warmup itself is
-	// skipped, so resuming a finished run is nearly free.
-	if rc.fromRcp == "" && rc.saveRcp == "" && rc.pub == nil && rc.intervalUS <= 0 && rc.perfetto == "" {
-		if e.DigestIntervalNS > 0 {
-			if sp, sd, ok := e.CachedSpaceDigests(); ok {
-				report.WriteSpace(os.Stdout, sp)
-				report.WriteAttribution(os.Stdout, sd.Attribution(sp))
-				if rc.precTable {
-					printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-				}
-				return nil
-			}
-		} else if sp, ok := e.CachedSpace(); ok {
-			report.WriteSpace(os.Stdout, sp)
-			if rc.precTable {
-				printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-			}
+	// skipped, so resuming a finished run is nearly free. A traced spec
+	// (-perfetto) never replays: events are not journaled.
+	spec := e.Spec()
+	spec.Trace = rc.perfetto != ""
+	if rc.fromRcp == "" && rc.saveRcp == "" && rc.pub == nil && rc.intervalUS <= 0 {
+		if b, ok := core.Replay(spec); ok {
+			render(e, rc, b)
 			return nil
 		}
 	}
@@ -481,25 +473,29 @@ func run(e varsim.Experiment, rc runCfg) error {
 		}
 	}
 
-	var sp varsim.Space
+	b, err := varsim.Branch(base, spec)
+	var inc *fleet.Incomplete
+	if errors.As(err, &inc) {
+		// A graceful drain: render the partial space (marked INCOMPLETE)
+		// and hand the drain marker back to main for the resume hint and
+		// exit status.
+		report.WriteSpace(os.Stdout, b.Space)
+		return err
+	}
+	if err != nil {
+		return err
+	}
 	if rc.perfetto != "" {
-		var traces [][]varsim.TraceEvent
-		var sd varsim.SpaceDigests
-		var err error
-		sp, traces, sd, err = varsim.BranchObserved(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, e.Workers, e.DigestIntervalNS)
-		if err != nil {
-			return err
-		}
-		runs := make([]traceviz.Run, len(traces))
-		for i, evs := range traces {
+		runs := make([]traceviz.Run, len(b.Traces))
+		for i, evs := range b.Traces {
 			runs[i] = traceviz.Run{
 				Name:    fmt.Sprintf("%s run %d", e.Label, i),
 				Events:  evs,
 				NumCPUs: e.Config.NumCPUs,
 			}
 			// Flag each run's fork from run 0 inside its own trace.
-			if i > 0 && len(sd.Series) > i {
-				if d := varsim.DiffDigests(sd.Series[0], sd.Series[i]); d.Diverged {
+			if i > 0 && len(b.Digests.Series) > i {
+				if d := varsim.DiffDigests(b.Digests.Series[0], b.Digests.Series[i]); d.Diverged {
 					runs[i].Marks = []traceviz.Mark{{TimeNS: d.TimeNS, Name: fmt.Sprintf("diverged: %s", d.Component)}}
 				}
 			}
@@ -509,54 +505,26 @@ func run(e varsim.Experiment, rc runCfg) error {
 		}
 		fmt.Printf("Perfetto trace (%d runs) written to %s — open it at https://ui.perfetto.dev\n",
 			len(runs), rc.perfetto)
-		if e.DigestIntervalNS > 0 {
-			report.WriteSpace(os.Stdout, sp)
-			report.WriteAttribution(os.Stdout, sd.Attribution(sp))
-			if rc.precTable {
-				printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-			}
-			return nil
-		}
-	} else if e.DigestIntervalNS > 0 {
-		sp, sd, err := varsim.BranchSpaceDigests(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, e.Workers, e.DigestIntervalNS, e.Resilience)
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			report.WriteSpace(os.Stdout, sp)
-			return err
-		}
-		if err != nil {
-			return err
-		}
-		att := sd.Attribution(sp)
+	}
+	render(e, rc, b)
+	return nil
+}
+
+// render prints a complete space: the space report, the divergence
+// attribution when the runs recorded digests, and the precision table
+// under -precision.
+func render(e varsim.Experiment, rc runCfg, b varsim.Branched) {
+	report.WriteSpace(os.Stdout, b.Space)
+	if e.DigestIntervalNS > 0 {
+		att := b.Digests.Attribution(b.Space)
 		if rc.pub != nil {
 			rc.pub.PublishDivergence(att)
 		}
-		report.WriteSpace(os.Stdout, sp)
 		report.WriteAttribution(os.Stdout, att)
-		if rc.precTable {
-			printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
-		}
-		return nil
-	} else {
-		var err error
-		sp, err = varsim.BranchSpaceRes(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, e.Workers, e.Resilience)
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			// A graceful drain: render the partial space (marked
-			// INCOMPLETE) and hand the drain marker back to main for
-			// the resume hint and exit status.
-			report.WriteSpace(os.Stdout, sp)
-			return err
-		}
-		if err != nil {
-			return err
-		}
 	}
-	report.WriteSpace(os.Stdout, sp)
 	if rc.precTable {
-		printPrecisionTable(sp, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
+		printPrecisionTable(b.Space, journal.ConfigHash(e.Config), rc.relErr, rc.conf)
 	}
-	return nil
 }
 
 // printSeries renders the run's headline per-interval series as

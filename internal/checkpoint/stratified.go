@@ -48,6 +48,8 @@ func AdaptiveTimeSample(bc *BaseCache, e core.Experiment, checkpoints []int64, t
 		return nil, arm, err
 	}
 	res := e.Resilience.ObserveOnce()
+	spec := e.Spec()
+	spec.Res = res
 	spaces := make([]core.Space, h)
 	rounds := make([]*core.Rounds, h)
 	for ci, ck := range checkpoints {
@@ -55,12 +57,11 @@ func AdaptiveTimeSample(bc *BaseCache, e core.Experiment, checkpoints []int64, t
 			Config: e.Config, Workload: e.Workload, WorkloadSeed: e.WorkloadSeed,
 			PerturbSeed: rng.Derive(e.SeedBase, 0), WarmupTxns: ck,
 		}
-		label := fmt.Sprintf("%s@%d", e.Label, ck)
-		spaces[ci] = core.Space{Label: label}
+		spec.Label = fmt.Sprintf("%s@%d", e.Label, ck)
+		spec.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		spaces[ci] = core.Space{Label: spec.Label}
 		rounds[ci] = &core.Rounds{
-			Label: label, ConfigHash: cfgHash,
-			SeedBase:    rng.Derive(e.SeedBase, 0x100+uint64(ci)),
-			MeasureTxns: e.MeasureTxns, Workers: e.Workers, Res: res,
+			Spec: spec,
 			Base: func() (*machine.Machine, error) { return bc.Build(recipe) },
 		}
 	}
@@ -82,13 +83,11 @@ func AdaptiveTimeSample(bc *BaseCache, e core.Experiment, checkpoints []int64, t
 			if k <= 0 {
 				continue
 			}
-			results, missing, err := rounds[ci].Next(k)
-			for _, r := range results {
-				spaces[ci].Values = append(spaces[ci].Values, r.CPT)
-				spaces[ci].Results = append(spaces[ci].Results, r)
-			}
+			got, err := rounds[ci].Next(k)
+			spaces[ci].Values = append(spaces[ci].Values, got.Values...)
+			spaces[ci].Results = append(spaces[ci].Results, got.Results...)
 			if err != nil {
-				spaces[ci].Missing = missing
+				spaces[ci].Missing = got.Missing
 				arm.Executed = executed()
 				arm.Rounds = round
 				return spaces, arm, err

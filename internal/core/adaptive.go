@@ -15,14 +15,11 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 
-	"varsim/internal/fleet"
 	"varsim/internal/journal"
 	"varsim/internal/machine"
-	"varsim/internal/rng"
 	"varsim/internal/sampling"
 	"varsim/internal/stats"
 )
@@ -54,95 +51,15 @@ func (r Resilience) ObserveOnce() Resilience {
 	return r
 }
 
-// BranchRound branches run indices [lo, lo+k) of a space from the
-// checkpoint — one round of an adaptive schedule. Each run keeps the
-// global identity BranchSpaceRes would assign it: the job for global
-// index i derives seed rng.Derive(seedBase, 1+i) and journals under
-// run key i, so a space assembled round by round is record-for-record
-// identical to the same space run fixed-N.
-//
-// Results come back in index order. On a graceful drain the completed
-// subset is returned together with the global indices that never ran
-// and the *fleet.Incomplete error.
-func BranchRound(checkpoint *machine.Machine, label string, lo, k int, measureTxns int64, seedBase uint64, workers int, res Resilience) ([]machine.Result, []int, error) {
-	if k <= 0 {
-		return nil, nil, nil
-	}
-	cfgHash := journal.ConfigHash(checkpoint.Config())
-	opts := branchOptions(label, cfgHash, seedBase, workers, res)
-	opts.IndexBase = lo
-	// Freeze before the fleet starts, as in BranchSpaceRes: jobs
-	// snapshot the checkpoint concurrently, which must not write.
-	checkpoint.Freeze()
-	results, err := fleet.Run(opts, k, func(i int) (machine.Result, error) {
-		m := checkpoint.Snapshot()
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
-		return m.Run(measureTxns)
-	})
-	if err != nil {
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			miss := make(map[int]bool, len(inc.Missing))
-			for _, gi := range inc.Missing {
-				miss[gi] = true
-			}
-			done := make([]machine.Result, 0, k-len(inc.Missing))
-			for j, r := range results {
-				if !miss[lo+j] {
-					done = append(done, r)
-				}
-			}
-			return done, inc.Missing, err
-		}
-		return nil, nil, runError(err)
-	}
-	return results, nil, nil
-}
-
-// cachedRound replays run indices [lo, lo+k) wholly from the resume
-// cache, mirroring CachedSpace at round granularity: any miss or
-// undecodable record returns false (the fleet path then applies
-// per-run hits), and the observer is fed only after every record
-// decoded, in index order, so a fallthrough cannot double-observe.
-func cachedRound(label, cfgHash string, seedBase uint64, lo, k int, res Resilience) ([]machine.Result, bool) {
-	if res.Cache == nil {
-		return nil, false
-	}
-	results := make([]machine.Result, k)
-	keys := make([]journal.Key, k)
-	for j := 0; j < k; j++ {
-		keys[j] = branchKey(label, cfgHash, seedBase, lo+j)
-		if !res.Cache.Has(keys[j]) {
-			return nil, false
-		}
-		rec, ok := res.Cache.Get(keys[j])
-		if !ok {
-			return nil, false
-		}
-		if err := json.Unmarshal(rec.Result, &results[j]); err != nil {
-			return nil, false
-		}
-	}
-	if res.Observe != nil {
-		for j := range results {
-			res.Observe(keys[j], results[j])
-		}
-	}
-	return results, true
-}
-
 // Rounds drives one arm of an adaptive schedule: successive Next calls
 // execute (or replay) the arm's next k runs, indices [N, N+k). The
 // checkpoint is built lazily through Base, so an arm whose rounds
 // replay wholly from the journal never pays its warmup — the adaptive
-// analogue of CachedSpace's free resume.
+// analogue of RunSpace's free resume.
 type Rounds struct {
-	Label       string
-	ConfigHash  string
-	SeedBase    uint64
-	MeasureTxns int64
-	Workers     int
-	Res         Resilience
+	// Spec is the arm's identity, capture set and resilience; Next sets
+	// its index range.
+	Spec Spec
 	// Base lazily provides the warmed checkpoint machine; it is called
 	// at most once, on the first round that needs a live run.
 	Base func() (*machine.Machine, error)
@@ -154,31 +71,33 @@ type Rounds struct {
 // N returns how many runs have executed (or replayed) so far.
 func (r *Rounds) N() int { return r.n }
 
-// Next runs the arm's next k runs, returning their results in index
-// order. On a graceful drain it returns the completed subset, the
-// global indices that never ran, and the *fleet.Incomplete error; the
-// round is not counted as taken, so a resumed driver resubmits it.
-func (r *Rounds) Next(k int) ([]machine.Result, []int, error) {
+// Next runs the arm's next k runs, returning them as a space in index
+// order. On a graceful drain it returns the completed subset, with the
+// global indices that never ran in Missing, and the *fleet.Incomplete
+// error; the round is not counted as taken, so a resumed driver
+// resubmits it.
+func (r *Rounds) Next(k int) (Space, error) {
 	if k <= 0 {
-		return nil, nil, nil
+		return Space{Label: r.Spec.Label}, nil
 	}
-	if results, ok := cachedRound(r.Label, r.ConfigHash, r.SeedBase, r.n, k, r.Res); ok {
-		r.n += k
-		return results, nil, nil
-	}
-	if r.base == nil {
-		m, err := r.Base()
-		if err != nil {
-			return nil, nil, err
+	s := r.Spec
+	s.Lo, s.Hi = r.n, r.n+k
+	b, ok := Replay(s)
+	if !ok {
+		if r.base == nil {
+			m, err := r.Base()
+			if err != nil {
+				return Space{}, err
+			}
+			r.base = m
 		}
-		r.base = m
-	}
-	results, missing, err := BranchRound(r.base, r.Label, r.n, k, r.MeasureTxns, r.SeedBase, r.Workers, r.Res)
-	if err != nil {
-		return results, missing, err
+		var err error
+		if b, err = Branch(r.base, s); err != nil {
+			return b.Space, err
+		}
 	}
 	r.n += k
-	return results, nil, nil
+	return b.Space, nil
 }
 
 // BarrierDecision is the replay-first decision point: if the resume
@@ -216,25 +135,19 @@ func (e Experiment) AdaptiveSpace(t sampling.Target) (Space, sampling.Arm, error
 	if err := e.Validate(); err != nil {
 		return Space{}, arm, err
 	}
-	cfgHash := journal.ConfigHash(e.Config)
+	rounds := armRounds(e)
+	cfgHash := rounds.Spec.ConfigHash
 	arm.ConfigHash = cfgHash
-	res := e.Resilience.ObserveOnce()
-	rounds := &Rounds{
-		Label: e.Label, ConfigHash: cfgHash, SeedBase: e.SeedBase,
-		MeasureTxns: e.MeasureTxns, Workers: e.Workers, Res: res,
-		Base: e.Prepare,
-	}
+	res := rounds.Spec.Res
 	sp := Space{Label: e.Label}
 	next := t.MinRuns
 	for round := 0; ; round++ {
-		results, missing, err := rounds.Next(next)
-		for _, r := range results {
-			sp.Values = append(sp.Values, r.CPT)
-			sp.Results = append(sp.Results, r)
-		}
+		got, err := rounds.Next(next)
+		sp.Values = append(sp.Values, got.Values...)
+		sp.Results = append(sp.Results, got.Results...)
 		arm.Executed = len(sp.Values)
 		if err != nil {
-			sp.Missing = missing
+			sp.Missing = got.Missing
 			arm.Rounds = round
 			publishArm(t, arm)
 			return sp, arm, err
@@ -262,6 +175,15 @@ func (e Experiment) AdaptiveSpace(t sampling.Target) (Space, sampling.Arm, error
 			return sp, arm, nil
 		}
 	}
+}
+
+// armRounds returns the experiment's round driver: its full-space spec,
+// with an observer that fires at most once per run (ObserveOnce), and
+// Prepare as the lazy checkpoint.
+func armRounds(e Experiment) *Rounds {
+	s := e.Spec()
+	s.Res = s.Res.ObserveOnce()
+	return &Rounds{Spec: s, Base: e.Prepare}
 }
 
 // publishArm refreshes the live sampling surface with a single-arm
@@ -344,17 +266,11 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 		if err := e.Validate(); err != nil {
 			return nil, rep, err
 		}
-		res := e.Resilience.ObserveOnce()
-		cfgHash := journal.ConfigHash(e.Config)
+		rounds := armRounds(e)
 		arms[i] = &matrixArm{
-			e: e, res: res, want: t.MinRuns,
+			e: e, res: rounds.Spec.Res, want: t.MinRuns, rounds: rounds,
 			sp:  Space{Label: e.Label},
-			arm: sampling.Arm{Experiment: e.Label, ConfigHash: cfgHash, FixedN: e.Runs, Status: sampling.StatusIncomplete},
-			rounds: &Rounds{
-				Label: e.Label, ConfigHash: cfgHash, SeedBase: e.SeedBase,
-				MeasureTxns: e.MeasureTxns, Workers: e.Workers, Res: res,
-				Base: e.Prepare,
-			},
+			arm: sampling.Arm{Experiment: e.Label, ConfigHash: rounds.Spec.ConfigHash, FixedN: e.Runs, Status: sampling.StatusIncomplete},
 		}
 	}
 	executed := 0
@@ -416,15 +332,13 @@ func AdaptiveMatrix(es []Experiment, t sampling.Target) ([]Space, sampling.Repor
 			if chunks[i] <= 0 {
 				continue
 			}
-			results, missing, err := a.rounds.Next(chunks[i])
-			for _, r := range results {
-				a.sp.Values = append(a.sp.Values, r.CPT)
-				a.sp.Results = append(a.sp.Results, r)
-			}
+			got, err := a.rounds.Next(chunks[i])
+			a.sp.Values = append(a.sp.Values, got.Values...)
+			a.sp.Results = append(a.sp.Results, got.Results...)
 			a.arm.Executed = len(a.sp.Values)
-			executed += len(results)
+			executed += len(got.Values)
 			if err != nil {
-				a.sp.Missing = missing
+				a.sp.Missing = got.Missing
 				drained = err
 				break
 			}

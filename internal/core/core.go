@@ -11,7 +11,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -156,9 +155,9 @@ type Experiment struct {
 	Workers int
 	// DigestIntervalNS, when positive, records an interval state digest
 	// every DigestIntervalNS of simulated time in each run (see
-	// internal/digest); RunSpaceDigests returns the streams alongside
-	// the space. Serialized with the spec so a -resume replays the same
-	// cadence it journaled.
+	// internal/digest); the experiment's Spec carries the cadence to
+	// Branch and Replay. Serialized with the spec so a -resume replays
+	// the same cadence it journaled.
 	DigestIntervalNS int64 `json:"digest_interval_ns,omitempty"`
 	// Adaptive, when non-nil, switches the experiment to the adaptive
 	// sampling scheduler (AdaptiveSpace): Runs becomes the fixed-N
@@ -195,7 +194,7 @@ type Resilience struct {
 	Stop <-chan struct{}
 	// Observe, when non-nil, sees every successful run's result — live
 	// from the worker that settled it, and replayed for cache hits (both
-	// per-run hits and whole-space CachedSpace replays), so a resumed
+	// per-run hits in Branch and whole-range Replays), so a resumed
 	// experiment feeds the same observations a fresh one would. It is a
 	// pure observer for the precision observatory (internal/precision):
 	// it must never feed anything back into the simulation, and because
@@ -206,13 +205,6 @@ type Resilience struct {
 	// TestHook injects scripted faults (internal/faultinject); tests
 	// only, nil on every production path.
 	TestHook fleet.TestHook
-}
-
-// enabled reports whether any resilience feature is active, so the
-// plain path stays exactly the historical BranchSpace.
-func (r Resilience) enabled() bool {
-	return r.Journal != nil || r.Cache != nil || r.JobTimeout > 0 ||
-		r.Retries > 0 || r.Stop != nil || r.TestHook != nil || r.Observe != nil
 }
 
 // Validate checks the experiment definition.
@@ -230,8 +222,10 @@ func (e Experiment) Validate() error {
 }
 
 // Prepare builds the experiment's machine, runs the warmup, and returns
-// the warmed machine — the paper's "checkpoint" from which all runs
-// start (§3.2.2).
+// the warmed machine frozen (machine.Machine.Freeze) — the paper's
+// "checkpoint" from which all runs start (§3.2.2). Frozen, it can be
+// branched by several concurrent Branch calls: each only reads it.
+// Running it further clears the latch, like any Run.
 func (e Experiment) Prepare() (*machine.Machine, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -249,6 +243,7 @@ func (e Experiment) Prepare() (*machine.Machine, error) {
 			return nil, fmt.Errorf("core: warmup: %w", err)
 		}
 	}
+	m.Freeze()
 	return m, nil
 }
 
@@ -273,208 +268,39 @@ func (e Experiment) RunSpace() (Space, error) {
 	if err != nil {
 		return Space{}, err
 	}
-	return BranchSpaceRes(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, e.Workers, e.Resilience)
-}
-
-// branchKey is the journal identity of run i of a space: the
-// experiment label, the hash of the machine configuration, the run's
-// derived perturbation seed, and its index. Replay matches on the full
-// key, so a journal from a different config, seed base, or label never
-// contaminates a resume.
-func branchKey(label, cfgHash string, seedBase uint64, i int) journal.Key {
-	return journal.Key{
-		Experiment: label,
-		ConfigHash: cfgHash,
-		Seed:       rng.Derive(seedBase, 1+uint64(i)),
-		Index:      i,
-	}
+	b, err := Branch(base, e.Spec())
+	return b.Space, err
 }
 
 // RunKey returns run i's journal key — the identity the experiment's
 // run and digest records are filed under. Exposed so tools reading a
 // journal post-hoc (varsim diff) address runs exactly as the fleet
 // wrote them.
-func (e Experiment) RunKey(i int) journal.Key {
-	return branchKey(e.Label, journal.ConfigHash(e.Config), e.SeedBase, i)
-}
+func (e Experiment) RunKey(i int) journal.Key { return e.Spec().key(i) }
 
-// CachedSpace replays the full space from the resume cache when every
-// run has an ok journal record. Returns false on any miss or
-// undecodable record — the caller then takes the normal prepare-and-run
-// path, where per-run cache hits still apply.
+// CachedSpace is Replay of the experiment's full space. It returns
+// false on any miss, and for an invalid or an adaptive experiment: the
+// adaptive scheduler may stop short of (or past) Runs, and a fixed-N
+// replay racing an adaptive resume would feed the precision observer
+// the overlap twice.
 func (e Experiment) CachedSpace() (Space, bool) {
-	// An adaptive experiment must never take the fixed-N whole-space
-	// replay: the scheduler may stop short of (or past) Runs, and a
-	// CachedSpace replay racing an adaptive resume would feed the
-	// precision observer the overlap twice.
-	if e.Resilience.Cache == nil || e.Runs <= 0 || e.Adaptive != nil || e.Validate() != nil {
+	if e.Adaptive != nil || e.Validate() != nil {
 		return Space{}, false
 	}
-	cfgHash := journal.ConfigHash(e.Config)
-	sp := Space{
-		Label:   e.Label,
-		Values:  make([]float64, e.Runs),
-		Results: make([]machine.Result, e.Runs),
-	}
-	for i := 0; i < e.Runs; i++ {
-		rec, ok := e.Resilience.Cache.Get(branchKey(e.Label, cfgHash, e.SeedBase, i))
-		if !ok {
-			return Space{}, false
-		}
-		if err := json.Unmarshal(rec.Result, &sp.Results[i]); err != nil {
-			return Space{}, false
-		}
-		sp.Values[i] = sp.Results[i].CPT
-	}
-	// A whole-space replay never reaches the fleet, so feed the precision
-	// observer here, in run-index order — only after every record decoded,
-	// so a fallthrough to the normal path cannot double-observe.
-	if e.Resilience.Observe != nil {
-		for i := range sp.Results {
-			e.Resilience.Observe(branchKey(e.Label, cfgHash, e.SeedBase, i), sp.Results[i])
-		}
-	}
-	return sp, true
+	b, ok := Replay(e.Spec())
+	return b.Space, ok
 }
 
-// BranchSpace branches n perturbed measurement runs of measureTxns
-// transactions each from the given checkpoint machine, executing them
-// on a fleet of workers (0 or 1 = sequential on the calling goroutine,
-// negative = one worker per host CPU).
-//
-// Each branch is a pure job — a private Snapshot clone re-seeded from
-// (seedBase, index) — and the fleet merges results by job index, so the
-// space is byte-identical for every worker count. The checkpoint is
-// frozen (machine.Machine.Freeze) before the fleet starts: Snapshot on
-// a frozen machine only reads it, and it stays quiescent for the
-// duration, so the copy-on-write clones may be taken concurrently
-// inside the jobs.
+// BranchSpace is Branch of runs [0, n) with no resilience plumbing.
 func BranchSpace(checkpoint *machine.Machine, label string, n int, measureTxns int64, seedBase uint64, workers int) (Space, error) {
 	return BranchSpaceRes(checkpoint, label, n, measureTxns, seedBase, workers, Resilience{})
 }
 
-// BranchSpaceRes is BranchSpace with the crash-safety plumbing wired
-// in: journal appends as runs settle, resume-cache replay, per-run
-// timeout and retry, and graceful drain. Because retry re-invokes the
-// same job closure, a retried run re-derives its original seed — the
-// retry/seed contract of docs/RESILIENCE.md.
-//
-// A drain returns the partial space (Values/Results hold the runs that
-// finished, Missing the indices that never ran) together with the
-// *fleet.Incomplete error, so resilience-aware callers can render a
-// resumable partial report while everyone else fails loudly.
+// BranchSpaceRes is Branch of runs [0, n) with the given resilience
+// plumbing.
 func BranchSpaceRes(checkpoint *machine.Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, res Resilience) (Space, error) {
-	sp := Space{Label: label}
-	if n <= 0 {
-		return sp, nil
-	}
-	cfgHash := journal.ConfigHash(checkpoint.Config())
-	opts := branchOptions(label, cfgHash, seedBase, workers, res)
-	// Freeze before the fleet starts: fleet jobs snapshot the checkpoint
-	// concurrently, and Snapshot on a frozen machine performs no writes.
-	checkpoint.Freeze()
-	results, err := fleet.Run(opts, n, func(i int) (machine.Result, error) {
-		m := checkpoint.Snapshot()
-		m.SetPerturbSeed(rng.Derive(seedBase, 1+uint64(i)))
-		return m.Run(measureTxns)
-	})
-	if err != nil {
-		var inc *fleet.Incomplete
-		if errors.As(err, &inc) {
-			miss := make(map[int]bool, len(inc.Missing))
-			for _, i := range inc.Missing {
-				miss[i] = true
-			}
-			for i, r := range results {
-				if !miss[i] {
-					sp.Values = append(sp.Values, r.CPT)
-					sp.Results = append(sp.Results, r)
-				}
-			}
-			sp.Missing = inc.Missing
-			return sp, err
-		}
-		return Space{}, runError(err)
-	}
-	sp.Results = results
-	sp.Values = make([]float64, n)
-	for i, res := range results {
-		sp.Values[i] = res.CPT
-	}
-	return sp, nil
-}
-
-// branchOptions wires a Resilience bundle into the fleet options every
-// space-branching path shares (BranchSpaceRes, BranchRound): journal
-// replay through Cached, observation and journal appends through
-// OnResult, all keyed by the run's global (label, config hash, derived
-// seed, index) identity — so a round-based schedule files runs under
-// exactly the keys the fixed-N path would.
-func branchOptions(label, cfgHash string, seedBase uint64, workers int, res Resilience) fleet.Options[machine.Result] {
-	opts := fleet.Options[machine.Result]{
-		Workers:  fleet.Width(workers),
-		Timeout:  res.JobTimeout,
-		Retries:  res.Retries,
-		Stop:     res.Stop,
-		TestHook: res.TestHook,
-		Labels:   []string{"experiment", label, "config", cfgHash},
-	}
-	if res.Cache != nil {
-		opts.Cached = func(i int) (machine.Result, bool) {
-			key := branchKey(label, cfgHash, seedBase, i)
-			rec, ok := res.Cache.Get(key)
-			if !ok {
-				return machine.Result{}, false
-			}
-			var r machine.Result
-			if err := json.Unmarshal(rec.Result, &r); err != nil {
-				return machine.Result{}, false // undecodable hit: re-run
-			}
-			// Cache hits bypass OnResult, so replays feed the precision
-			// observer here — a resumed space observes every run once.
-			if res.Observe != nil {
-				res.Observe(key, r)
-			}
-			return r, true
-		}
-	}
-	if res.Journal != nil || res.Observe != nil {
-		opts.OnResult = func(i, attempts int, v machine.Result, err error) {
-			key := branchKey(label, cfgHash, seedBase, i)
-			if err == nil && res.Observe != nil {
-				res.Observe(key, v)
-			}
-			if res.Journal == nil {
-				return
-			}
-			rec := journal.Record{Key: key, Attempts: attempts}
-			if err != nil {
-				rec.Status = journal.StatusFailed
-				rec.Error = err.Error()
-			} else if raw, merr := json.Marshal(v); merr != nil {
-				rec.Status = journal.StatusFailed
-				rec.Error = "core: unencodable result: " + merr.Error()
-			} else {
-				rec.Status = journal.StatusOK
-				rec.Result = raw
-			}
-			// Append errors are sticky on the writer; the CLIs check
-			// Writer.Err() at teardown rather than failing runs here.
-			//varsim:allow stickyerr fire-and-forget by design: Writer.Err is checked at CLI teardown
-			res.Journal.Append(rec)
-		}
-	}
-	return opts
-}
-
-// runError rewrites a fleet job failure in the package's historical
-// "run %d" terms, preserving the wrapped cause.
-func runError(err error) error {
-	var je *fleet.JobError
-	if errors.As(err, &je) {
-		return fmt.Errorf("core: run %d: %w", je.Index, je.Err)
-	}
-	return err
+	b, err := Branch(checkpoint, Spec{Label: label, SeedBase: seedBase, MeasureTxns: measureTxns, Workers: workers, Res: res, Hi: n})
+	return b.Space, err
 }
 
 // TimeSample implements §5.2's systematic sampling of a workload's
@@ -494,28 +320,39 @@ func (e Experiment) TimeSample(checkpoints []int64) ([]Space, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	wl, err := workloads.New(e.Workload, e.Config, e.WorkloadSeed)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(e.Config, wl, rng.Derive(e.SeedBase, 0))
-	if err != nil {
-		return nil, err
-	}
-	var spaces []Space
-	done := int64(0)
+	// A checkpoint whose space the resume cache covers replays without
+	// warming; the machine is built on the first one that must branch,
+	// then warmed through every checkpoint up to it in turn.
+	s := e.Spec()
+	var m *machine.Machine
+	done, warmed := int64(0), 0 // transactions run; checkpoints reached
+	spaces := make([]Space, len(checkpoints))
 	for ci, ck := range checkpoints {
-		if ck > done {
-			if _, err := m.Run(ck - done); err != nil {
-				return nil, fmt.Errorf("core: warmup to checkpoint %d: %w", ck, err)
+		s.Label = fmt.Sprintf("%s@%d", e.Label, ck)
+		s.SeedBase = rng.Derive(e.SeedBase, 0x100+uint64(ci))
+		b, ok := Replay(s)
+		if !ok {
+			var err error
+			if m == nil {
+				cold := e
+				cold.WarmupTxns = 0
+				if m, err = cold.Prepare(); err != nil {
+					return nil, err
+				}
 			}
-			done = ck
+			for ; warmed <= ci; warmed++ {
+				if next := checkpoints[warmed]; next > done {
+					if _, err := m.Run(next - done); err != nil {
+						return nil, fmt.Errorf("core: warmup to checkpoint %d: %w", next, err)
+					}
+					done = next
+				}
+			}
+			if b, err = Branch(m, s); err != nil {
+				return nil, err
+			}
 		}
-		sp, err := BranchSpaceRes(m, fmt.Sprintf("%s@%d", e.Label, ck), e.Runs, e.MeasureTxns, rng.Derive(e.SeedBase, 0x100+uint64(ci)), e.Workers, e.Resilience)
-		if err != nil {
-			return nil, err
-		}
-		spaces = append(spaces, sp)
+		spaces[ci] = b.Space
 	}
 	return spaces, nil
 }

@@ -27,6 +27,20 @@ func digestExperiment(workers int) core.Experiment {
 	return e
 }
 
+// runDigests runs e's digested space the way a resume-aware caller
+// does: Replay when the journal covers it, else Prepare and Branch.
+func runDigests(e core.Experiment) (core.Space, core.SpaceDigests, error) {
+	if b, ok := core.Replay(e.Spec()); ok {
+		return b.Space, b.Digests, nil
+	}
+	base, err := e.Prepare()
+	if err != nil {
+		return core.Space{}, core.SpaceDigests{}, err
+	}
+	b, err := core.Branch(base, e.Spec())
+	return b.Space, b.Digests, err
+}
+
 // digestBytes canonicalizes a SpaceDigests for byte-identity checks.
 func digestBytes(t *testing.T, sd core.SpaceDigests) []byte {
 	t.Helper()
@@ -42,7 +56,7 @@ func digestBytes(t *testing.T, sd core.SpaceDigests) []byte {
 // (config, seeds) — the fleet width is invisible.
 func TestSpaceDigestsByteIdenticalAcrossWidths(t *testing.T) {
 	base := digestExperiment(1)
-	sp, sd, err := base.RunSpaceDigests()
+	sp, sd, err := runDigests(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +74,7 @@ func TestSpaceDigestsByteIdenticalAcrossWidths(t *testing.T) {
 	for _, width := range []int{4, runtime.NumCPU()} {
 		t.Run(label(width), func(t *testing.T) {
 			e := digestExperiment(width)
-			sp2, sd2, err := e.RunSpaceDigests()
+			sp2, sd2, err := runDigests(e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +94,7 @@ func TestSpaceDigestsByteIdenticalAcrossWidths(t *testing.T) {
 // that makes post-hoc attribution trustworthy across -resume.
 func TestDigestedKillAndResume(t *testing.T) {
 	base := digestExperiment(1)
-	sp, sd, err := base.RunSpaceDigests()
+	sp, sd, err := runDigests(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +109,7 @@ func TestDigestedKillAndResume(t *testing.T) {
 	hook := &faultinject.Hook{StopAfter: 2, Stop: make(chan struct{})}
 	e := digestExperiment(4)
 	e.Resilience = core.Resilience{Journal: jw, Stop: hook.Stop, TestHook: hook}
-	part, psd, err := e.RunSpaceDigests()
+	part, psd, err := runDigests(e)
 	var inc *fleet.Incomplete
 	if !errors.As(err, &inc) {
 		t.Fatalf("drained run returned %v, want *fleet.Incomplete", err)
@@ -128,7 +142,7 @@ func TestDigestedKillAndResume(t *testing.T) {
 	}
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	full, fsd, err := r.RunSpaceDigests()
+	full, fsd, err := runDigests(r)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -143,11 +157,11 @@ func TestDigestedKillAndResume(t *testing.T) {
 	}
 }
 
-// TestCachedSpaceDigestsFastPath pins the full-journal fast path and
+// TestReplayDigestsFastPath pins the full-journal fast path and
 // its refusal cases: a complete digested journal replays space and
 // streams without re-simulating, while a digest-less journal (from a
 // plain RunSpace) forces a re-run rather than serving half an answer.
-func TestCachedSpaceDigestsFastPath(t *testing.T) {
+func TestReplayDigestsFastPath(t *testing.T) {
 	dir := t.TempDir()
 	jw, err := journal.CreateDir(dir)
 	if err != nil {
@@ -155,7 +169,7 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	}
 	e := digestExperiment(4)
 	e.Resilience = core.Resilience{Journal: jw}
-	sp, sd, err := e.RunSpaceDigests()
+	sp, sd, err := runDigests(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +184,14 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw2.Close()
 	r := digestExperiment(4)
 	r.Resilience = core.Resilience{Journal: jw2, Cache: jc}
-	csp, csd, ok := r.CachedSpaceDigests()
+	cb, ok := core.Replay(r.Spec())
 	if !ok {
-		t.Fatal("full digested journal did not satisfy CachedSpaceDigests")
+		t.Fatal("full digested journal did not satisfy Replay")
 	}
-	if got := renderSpace(csp); string(got) != string(renderSpace(sp)) {
+	if got := renderSpace(cb.Space); string(got) != string(renderSpace(sp)) {
 		t.Error("cached space differs from original run")
 	}
-	if got := digestBytes(t, csd); string(got) != string(digestBytes(t, sd)) {
+	if got := digestBytes(t, cb.Digests); string(got) != string(digestBytes(t, sd)) {
 		t.Error("cached digest streams differ from original run")
 	}
 
@@ -186,7 +200,7 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	r2 := digestExperiment(4)
 	r2.DigestIntervalNS = digTickNS * 2
 	r2.Resilience = core.Resilience{Cache: jc}
-	if _, _, ok := r2.CachedSpaceDigests(); ok {
+	if _, ok := core.Replay(r2.Spec()); ok {
 		t.Error("cache hit despite a digest-cadence mismatch")
 	}
 
@@ -212,8 +226,8 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 	defer jw4.Close()
 	r3 := digestExperiment(4)
 	r3.Resilience = core.Resilience{Cache: jc2}
-	if _, _, ok := r3.CachedSpaceDigests(); ok {
-		t.Error("digest-less journal satisfied CachedSpaceDigests")
+	if _, ok := core.Replay(r3.Spec()); ok {
+		t.Error("digest-less journal satisfied Replay")
 	}
 }
 
@@ -222,7 +236,7 @@ func TestCachedSpaceDigestsFastPath(t *testing.T) {
 // the attribution counts them, and Diff agrees with the onsets.
 func TestSpaceDigestsAttribution(t *testing.T) {
 	e := digestExperiment(4)
-	sp, sd, err := e.RunSpaceDigests()
+	sp, sd, err := runDigests(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,23 +271,29 @@ func TestSpaceDigestsAttribution(t *testing.T) {
 	}
 }
 
-// TestBranchObservedCombinesTracesAndDigests pins the one-pass
-// observatory: traces match BranchTraces exactly (digesting must not
-// perturb the trajectory) and the digest streams match RunSpaceDigests.
-func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
+// TestTracedBranchWithDigests pins the one-pass observatory: traces
+// match a traced Branch without digests exactly (digesting must not
+// perturb the trajectory) and the digest streams match an untraced
+// digested space.
+func TestTracedBranchWithDigests(t *testing.T) {
 	e := digestExperiment(4)
 	base, err := e.Prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, traces, sd, err := core.BranchObserved(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, 4, digTickNS)
+	s := e.Spec()
+	s.Trace = true
+	ob, err := core.Branch(base, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spT, tracesT, err := core.BranchTraces(base, e.Label, e.Runs, e.MeasureTxns, e.SeedBase, 0, 4)
+	sp, traces, sd := ob.Space, ob.Traces, ob.Digests
+	s.DigestNS = 0
+	tb, err := core.Branch(base, s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spT, tracesT := tb.Space, tb.Traces
 	for i := range sp.Values {
 		if sp.Values[i] != spT.Values[i] {
 			t.Fatalf("run %d: observed CPT %v differs from traced %v", i, sp.Values[i], spT.Values[i])
@@ -283,16 +303,17 @@ func TestBranchObservedCombinesTracesAndDigests(t *testing.T) {
 		}
 	}
 	var want core.SpaceDigests
-	_, want, err = e.RunSpaceDigests()
+	_, want, err = runDigests(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(digestBytes(t, sd)) != string(digestBytes(t, want)) {
-		t.Error("observed digest streams differ from RunSpaceDigests")
+		t.Error("observed digest streams differ from the untraced digested space")
 	}
-	if _, _, zero, err := core.BranchObserved(base, e.Label, 2, e.MeasureTxns, e.SeedBase, 0, 1, 0); err != nil {
+	s.Hi, s.Workers = 2, 1
+	if zero, err := core.Branch(base, s); err != nil {
 		t.Fatal(err)
-	} else if len(zero.Series) != 0 {
+	} else if len(zero.Digests.Series) != 0 {
 		t.Error("interval 0 still recorded digest streams")
 	}
 }

@@ -13,7 +13,7 @@
 // runs, never *what* it computes. Index-ordered merging then makes the
 // output byte-identical to the sequential path for any worker count.
 //
-// Callers inside the wall (core.BranchSpace, the harness's
+// Callers inside the wall (core.Branch, the harness's
 // per-configuration space builds) may import and call this package:
 // the call site contains no forbidden construct, and the scheduler
 // guarantees the call is observationally sequential.

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"varsim/internal/core"
 	"varsim/internal/report"
 )
 
@@ -19,10 +20,17 @@ const divergenceDigestNS = 50_000
 func (h *H) DivergenceStudy() error {
 	e := h.experiment("divergence/oltp", h.baseConfig(), "oltp", 500, 200, 0xD1)
 	e.DigestIntervalNS = divergenceDigestNS
-	sp, sd, err := e.RunSpaceDigests()
-	if err != nil {
-		return err
+	b, ok := core.Replay(e.Spec())
+	if !ok {
+		base, err := e.Prepare()
+		if err != nil {
+			return err
+		}
+		if b, err = core.Branch(base, e.Spec()); err != nil {
+			return err
+		}
 	}
+	sp, sd := b.Space, b.Digests
 	att := sd.Attribution(sp)
 
 	rows := [][]string{}

@@ -330,16 +330,19 @@ func (h *H) Table4RunLengths() error {
 		return err
 	}
 	// Each run length branches its own space from the shared prepared
-	// checkpoint; Snapshot is read-only on its receiver, so the five
-	// lengths fan out on the fleet concurrently.
+	// checkpoint; Prepare returns it frozen, so Branch only reads it and
+	// the five lengths fan out on the fleet concurrently.
 	lengths := []int64{200, 400, 600, 800, 1000}
 	spaces, err := fleet.Run(fleet.Options[core.Space]{
 		Workers: fleet.Width(h.opt.Workers),
 		Stop:    h.opt.Resilience.Stop,
 	}, len(lengths), func(i int) (core.Space, error) {
 		txns := lengths[i]
-		return core.BranchSpaceRes(base, fmt.Sprintf("%d", txns), h.runs(), h.scaleTxns(txns),
-			rng.Derive(h.opt.Seed, 0x440+uint64(txns)), h.opt.Workers, h.opt.Resilience)
+		b, err := core.Branch(base, core.Spec{
+			Label: fmt.Sprintf("%d", txns), SeedBase: rng.Derive(h.opt.Seed, 0x440+uint64(txns)),
+			MeasureTxns: h.scaleTxns(txns), Workers: h.opt.Workers, Res: h.opt.Resilience, Hi: h.runs(),
+		})
+		return b.Space, err
 	})
 	if err != nil {
 		return err

@@ -39,7 +39,8 @@ func TestPrecisionObserverPreservesByteIdentity(t *testing.T) {
 				trk.Observe(k.Experiment, k.ConfigHash, "cpt", r.CPT)
 			}
 		}
-		sp, err := BranchSpaceRes(m, "prec", runs, 10, 99, workers, res)
+		b, err := Branch(m, Spec{Label: "prec", SeedBase: 99, MeasureTxns: 10, Workers: workers, Res: res, Hi: runs})
+		sp := b.Space
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -185,25 +185,28 @@ func BranchSpace(checkpoint *Machine, label string, n int, measureTxns int64, se
 
 // Resilience bundles the optional crash-safety plumbing — result
 // journal, resume cache, per-run timeout/retry budget, drain signal —
-// threaded through an Experiment or BranchSpaceRes. The zero value is
-// plain execution. See docs/RESILIENCE.md.
+// threaded through an Experiment or a Spec. The zero value is plain
+// execution. See docs/RESILIENCE.md.
 type Resilience = core.Resilience
 
-// BranchSpaceRes is BranchSpace with the crash-safety plumbing wired
-// in: journal appends as runs settle, resume-cache replay, per-run
-// timeout and bounded retry (a retried run re-derives its original
-// seed), and graceful drain into a partial space.
-func BranchSpaceRes(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, res Resilience) (Space, error) {
-	return core.BranchSpaceRes(checkpoint, label, n, measureTxns, seedBase, workers, res)
-}
+// Spec describes one branch of a space: the run-index range [Lo, Hi),
+// the identity every run is journaled under, the resilience plumbing,
+// and the capture set (Trace for per-run event streams, DigestNS for
+// interval state digests). Experiment.Spec builds the full space's.
+type Spec = core.Spec
 
-// BranchTraces is BranchSpace with structured tracing enabled on every
-// branched run, returning each run's event stream alongside the space.
-// Seeds derive as in BranchSpace, so run i reproduces run i there; feed
-// the streams to internal/traceviz for side-by-side Perfetto export.
-// workers follows the BranchSpace convention.
-func BranchTraces(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, capEvents, workers int) (Space, [][]TraceEvent, error) {
-	return core.BranchTraces(checkpoint, label, n, measureTxns, seedBase, capEvents, workers)
+// Branched is what Branch returns: the space, plus the traces and
+// digest streams the Spec asked for, aligned to its index range.
+type Branched = core.Branched
+
+// Branch runs a Spec's index range from a warmed checkpoint machine on
+// a fleet of workers, with per-run journal appends, resume-cache hits
+// (untraced runs), timeout, retry (a retried run re-derives its
+// original seed) and graceful drain into a partial space. Results
+// merge by run index, so they are byte-identical for every worker
+// count; feed the traces to internal/traceviz for Perfetto export.
+func Branch(checkpoint *Machine, s Spec) (Branched, error) {
+	return core.Branch(checkpoint, s)
 }
 
 // DigestSeries is one run's chained interval state-digest stream (see
@@ -234,22 +237,6 @@ func DiffDigests(a, b DigestSeries) DigestDivergence { return digest.Diff(a, b) 
 // final metric (CPT), index-aligned with series.
 func AttributeDivergence(series []DigestSeries, values []float64) DivergenceAttribution {
 	return digest.Attribute(series, values)
-}
-
-// BranchSpaceDigests is BranchSpaceRes with interval state digesting
-// enabled on every branched run: each run records one digest sample
-// per intervalNS of simulated time. With a journal attached the digest
-// streams persist alongside the run records, so -resume replays them
-// byte-identically.
-func BranchSpaceDigests(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, workers int, intervalNS int64, res Resilience) (Space, SpaceDigests, error) {
-	return core.BranchSpaceDigests(checkpoint, label, n, measureTxns, seedBase, workers, intervalNS, res)
-}
-
-// BranchObserved is BranchTraces with digest streams riding along:
-// one fleet pass produces the space, the per-run event streams, and
-// (when digestIntervalNS > 0) the per-run digest streams.
-func BranchObserved(checkpoint *Machine, label string, n int, measureTxns int64, seedBase uint64, capEvents, workers int, digestIntervalNS int64) (Space, [][]TraceEvent, SpaceDigests, error) {
-	return core.BranchObserved(checkpoint, label, n, measureTxns, seedBase, capEvents, workers, digestIntervalNS)
 }
 
 // MetricsRegistry is the typed registry of named counters, gauges and
